@@ -263,8 +263,11 @@ func BenchmarkSymbolicEval(b *testing.B) {
 	}
 }
 
-// BenchmarkAbstractManyRanks measures AM simulation cost at a large
-// target count — the headline capability.
+// BenchmarkAbstractManyRanks measures AM prediction cost at a large
+// target count — the headline capability. Each iteration is a fresh
+// Runner over the calibrated compilation, so it pays for the static
+// check a new prediction runs (a reused Runner would hit its check
+// cache after the first iteration).
 func BenchmarkAbstractManyRanks(b *testing.B) {
 	r, err := NewRunner(Sweep3D(), IBMSP())
 	if err != nil {
@@ -277,7 +280,8 @@ func BenchmarkAbstractManyRanks(b *testing.B) {
 	inputs := Sweep3DInputs(4, 4, 16, 8, npx, npy)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(Abstract, 1024, inputs); err != nil {
+		fresh := &Runner{Program: r.Program, Machine: r.Machine, Compiled: r.Compiled, TaskTimes: r.TaskTimes}
+		if _, err := fresh.Run(Abstract, 1024, inputs); err != nil {
 			b.Fatal(err)
 		}
 	}

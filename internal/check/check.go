@@ -256,8 +256,15 @@ func (r *Result) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ")
 // bad options); findings about a structurally valid program are returned
 // as diagnostics, not errors.
 func Run(p *ir.Program, opts Options) (*Result, error) {
+	res, _, err := run(p, opts)
+	return res, err
+}
+
+// run is Run that also hands back the pass context, so tests can inspect
+// the per-rank traces. The context is nil when validation failed.
+func run(p *ir.Program, opts Options) (*Result, *Context, error) {
 	if p == nil {
-		return nil, fmt.Errorf("check: nil program")
+		return nil, nil, fmt.Errorf("check: nil program")
 	}
 	if opts.Ranks <= 0 {
 		opts.Ranks = 4
@@ -272,7 +279,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		res.Diags = append(res.Diags, Diagnostic{
 			Pass: "validate", Severity: Error, Program: p.Name, Message: err.Error(),
 		})
-		return res, nil
+		return res, nil, nil
 	}
 	ctx := &Context{
 		Program: p,
@@ -309,7 +316,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		res.Diags = append(res.Diags, pass.Run(ctx)...)
 	}
 	res.Diags = dedupe(res.Diags)
-	return res, nil
+	return res, ctx, nil
 }
 
 // dedupe removes repeated (pass, line, message) findings and orders the

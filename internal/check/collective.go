@@ -15,7 +15,8 @@ func passCollective(ctx *Context) []Diagnostic {
 	// Data-dependent collectives: warn once per statement.
 	warned := map[string]bool{}
 	for _, t := range ctx.Traces {
-		for _, o := range t.ops {
+		for i := range t.ops {
+			o := &t.ops[i]
 			if o.kind != opColl || !o.may {
 				continue
 			}
@@ -31,7 +32,8 @@ func passCollective(ctx *Context) []Diagnostic {
 
 	// Bcast root sanity (roots are carried on collective ops).
 	for _, t := range ctx.Traces {
-		for _, o := range t.ops {
+		for i := range t.ops {
+			o := &t.ops[i]
 			if o.kind != opColl || o.stmt == nil {
 				continue
 			}
@@ -55,10 +57,10 @@ func passCollective(ctx *Context) []Diagnostic {
 	}
 
 	// Definite sequence comparison against rank 0.
-	seqs := make([][]op, ctx.Ranks)
+	seqs := make([][]*op, ctx.Ranks)
 	for r, t := range ctx.Traces {
-		for _, o := range t.ops {
-			if o.kind == opColl && !o.may {
+		for i := range t.ops {
+			if o := &t.ops[i]; o.kind == opColl && !o.may {
 				seqs[r] = append(seqs[r], o)
 			}
 		}
@@ -103,6 +105,6 @@ func passCollective(ctx *Context) []Diagnostic {
 	return diags
 }
 
-func isBcast(o op) bool {
+func isBcast(o *op) bool {
 	return len(o.key) >= 5 && o.key[:5] == "BCAST"
 }

@@ -31,8 +31,8 @@ func passDeadlock(ctx *Context) []Diagnostic {
 	excluded := false
 	for r, t := range ctx.Traces {
 		traces[r] = t.ops
-		for _, o := range t.ops {
-			if o.may || (o.kind != opColl && !o.peerKnown) {
+		for i := range t.ops {
+			if o := &t.ops[i]; o.may || (o.kind != opColl && !o.peerKnown) {
 				excluded = true
 			}
 		}
@@ -81,7 +81,7 @@ func simulate(ctx *Context, traces [][]op, rendezvous bool) (bool, waitState) {
 	// skippable reports operations the simulation advances through
 	// unconditionally: uncertain ops and out-of-range peers (the latter
 	// are sendrecv-pass errors; blocking on them here would duplicate).
-	skippable := func(o op) bool {
+	skippable := func(o *op) bool {
 		if o.may {
 			return true
 		}
@@ -105,7 +105,7 @@ func simulate(ctx *Context, traces [][]op, rendezvous bool) (bool, waitState) {
 		// Point-to-point progress.
 		for r := 0; r < n; r++ {
 			for pc[r] < len(traces[r]) {
-				o := traces[r][pc[r]]
+				o := &traces[r][pc[r]]
 				if skippable(o) {
 					pc[r]++
 					progressed = true
@@ -120,7 +120,7 @@ func simulate(ctx *Context, traces [][]op, rendezvous bool) (bool, waitState) {
 					} else if p := o.peer; pc[p] < len(traces[p]) {
 						// Synchronous: complete only against a posted
 						// matching receive at the peer's current op.
-						po := traces[p][pc[p]]
+						po := &traces[p][pc[p]]
 						if po.kind == opRecv && !skippable(po) && po.peer == r && po.tag == o.tag {
 							pc[p]++
 							advanced = true
@@ -154,7 +154,7 @@ func simulate(ctx *Context, traces [][]op, rendezvous bool) (bool, waitState) {
 				allAtColl = false
 				break
 			}
-			o := traces[r][pc[r]]
+			o := &traces[r][pc[r]]
 			if o.kind != opColl || o.may {
 				allAtColl = false
 				break

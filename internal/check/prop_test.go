@@ -3,6 +3,7 @@ package check
 import (
 	"testing"
 
+	"mpisim/internal/apps"
 	"mpisim/internal/irgen"
 )
 
@@ -57,5 +58,40 @@ func BenchmarkCheckGenerated(b *testing.B) {
 			b.Fatal(err)
 		}
 		sinkText = res.Text(Info)
+	}
+}
+
+// checkSweep3D runs the checker on Sweep3D with mpicheck's default
+// inputs for the rank count.
+func checkSweep3D(tb testing.TB, ranks int) *Result {
+	spec := apps.Registry()["sweep3d"]
+	res, err := Run(spec.Build(), Options{Ranks: ranks, Inputs: spec.Default(ranks)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// Facts that depend only on the IR (loop communication, structural
+// definitions, kill sets) are computed once per Run, so the evaluator's
+// allocations grow with the ranks' emitted operations, not with every
+// unrolled loop iteration. The ceiling keeps a per-iteration def/use
+// rebuild from coming back unnoticed.
+func TestCheckAllocsScaleWithRanks(t *testing.T) {
+	for _, ranks := range []int{256, 1024} {
+		allocs := testing.AllocsPerRun(1, func() { checkSweep3D(t, ranks) })
+		if limit := float64(200*ranks + 20000); allocs > limit {
+			t.Errorf("check.Run(sweep3d, %d ranks): %.0f allocs (%.0f per rank), ceiling %.0f",
+				ranks, allocs, allocs/float64(ranks), limit)
+		}
+	}
+}
+
+// BenchmarkCheckSweep3D measures one full check at a scale where the
+// per-rank abstract evaluation dominates.
+func BenchmarkCheckSweep3D(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkText = checkSweep3D(b, 1024).Text(Info)
 	}
 }

@@ -14,7 +14,7 @@ func passSendRecv(ctx *Context) []Diagnostic {
 		from, to, tag int
 	}
 	type chanOps struct {
-		sends, recvs []op
+		sends, recvs []*op
 	}
 	channels := map[chanKey]*chanOps{}
 	// uncertain is set when any operation has a data-dependent peer or
@@ -22,7 +22,8 @@ func passSendRecv(ctx *Context) []Diagnostic {
 	uncertain := false
 
 	for _, t := range ctx.Traces {
-		for _, o := range t.ops {
+		for i := range t.ops {
+			o := &t.ops[i]
 			if o.kind != opSend && o.kind != opRecv {
 				continue
 			}

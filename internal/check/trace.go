@@ -119,14 +119,75 @@ const (
 	maxBoundsHits = 64
 )
 
-// buildTraces runs the abstract evaluator for every rank.
+// buildTraces runs the abstract evaluator for every rank. The statement
+// facts are computed once here and shared read-only by every rank, so a
+// rank's cost is its statement visits alone.
 func buildTraces(ctx *Context) []*trace {
-	structural := structuralVars(ctx.Program, ctx.Graph)
+	facts := buildFacts(ctx.Program, structuralVars(ctx.Program, ctx.Graph))
 	traces := make([]*trace, ctx.Ranks)
 	for r := 0; r < ctx.Ranks; r++ {
-		traces[r] = newEvaluator(ctx, r, structural).run()
+		traces[r] = newEvaluator(ctx, r, facts).run()
 	}
 	return traces
+}
+
+// stmtFacts holds the properties of statement subtrees that the
+// evaluator consults on every loop iteration. They depend only on the IR
+// and the structural set.
+type stmtFacts struct {
+	loops map[*ir.For]loopFacts
+	// kills holds, per For and If, the names its subtree defines
+	// (including a loop's induction variable), sorted and de-duplicated.
+	kills map[ir.Stmt][]string
+}
+
+// loopFacts decides whether a loop with a known trip count is unrolled.
+type loopFacts struct {
+	// comm is set when the body communicates.
+	comm bool
+	// structural is set when the body or the induction variable defines
+	// a structure-relevant variable.
+	structural bool
+}
+
+// buildFacts computes the facts of every For and If. Each is derived by
+// walking the statement's subtree once per Run.
+func buildFacts(p *ir.Program, structural map[string]bool) *stmtFacts {
+	f := &stmtFacts{loops: map[*ir.For]loopFacts{}, kills: map[ir.Stmt][]string{}}
+	ir.Walk(p.Body, func(s ir.Stmt) bool {
+		switch x := s.(type) {
+		case *ir.For:
+			defs := subtreeDefs(s)
+			f.loops[x] = loopFacts{comm: ir.HasComm(x.Body), structural: anyIn(defs, structural)}
+			f.kills[x] = sortedNames(defs)
+		case *ir.If:
+			f.kills[x] = sortedNames(subtreeDefs(s))
+		}
+		return true
+	})
+	return f
+}
+
+// subtreeDefs returns every name the statement, nested bodies included,
+// defines.
+func subtreeDefs(s ir.Stmt) map[string]bool {
+	defs := map[string]bool{}
+	ir.Walk([]ir.Stmt{s}, func(st ir.Stmt) bool {
+		for d := range ir.StmtDefUse(st).Defs {
+			defs[d] = true
+		}
+		return true
+	})
+	return defs
+}
+
+func anyIn(names, set map[string]bool) bool {
+	for n := range names {
+		if set[n] {
+			return true
+		}
+	}
+	return false
 }
 
 // structuralVars computes the set of variable names that can affect
@@ -220,12 +281,12 @@ func structuralVars(p *ir.Program, g *stg.Graph) map[string]bool {
 }
 
 type evaluator struct {
-	ctx        *Context
-	rank       int
-	t          *trace
-	env        map[string]val
-	arrays     map[string]*arrTrack
-	structural map[string]bool
+	ctx    *Context
+	rank   int
+	t      *trace
+	env    map[string]val
+	arrays map[string]*arrTrack
+	facts  *stmtFacts
 	// mayDepth > 0 while executing under an unknown condition.
 	mayDepth int
 	// nonUniform > 0 while executing under a rank-dependent condition;
@@ -242,17 +303,17 @@ type evaluator struct {
 	noteSeen   map[string]bool
 }
 
-func newEvaluator(ctx *Context, rank int, structural map[string]bool) *evaluator {
+func newEvaluator(ctx *Context, rank int, facts *stmtFacts) *evaluator {
 	ev := &evaluator{
-		ctx:        ctx,
-		rank:       rank,
-		structural: structural,
-		env:        map[string]val{},
-		arrays:     map[string]*arrTrack{},
-		budget:     ctx.Opts.MaxOps,
-		hitSeen:    map[string]bool{},
-		noteSeen:   map[string]bool{},
-		t:          &trace{rank: rank, dims: map[string][]val{}},
+		ctx:      ctx,
+		rank:     rank,
+		facts:    facts,
+		env:      map[string]val{},
+		arrays:   map[string]*arrTrack{},
+		budget:   ctx.Opts.MaxOps,
+		hitSeen:  map[string]bool{},
+		noteSeen: map[string]bool{},
+		t:        &trace{rank: rank, dims: map[string][]val{}},
 	}
 	ev.env[ir.BuiltinP] = known(float64(ctx.Ranks), true)
 	ev.env[ir.BuiltinMyID] = known(float64(rank), false)
@@ -618,7 +679,7 @@ func (ev *evaluator) bcastStmt(x *ir.Bcast) {
 
 func (ev *evaluator) forStmt(x *ir.For) {
 	lo, hi := ev.eval(x.Lo), ev.eval(x.Hi)
-	bodyComm := ir.HasComm(x.Body)
+	lf := ev.facts.loops[x]
 	if lo.known && hi.known && ev.mayDepth == 0 {
 		loI, hiI := int64(math.Floor(lo.v)), int64(math.Floor(hi.v))
 		if hiI < loI {
@@ -627,7 +688,7 @@ func (ev *evaluator) forStmt(x *ir.For) {
 			ev.env[x.Var] = val{}
 			return
 		}
-		if !bodyComm && !ev.defsStructural(x.Body, x.Var) {
+		if !lf.comm && !lf.structural {
 			// Pure computation with no effect on parallel structure:
 			// skip the iteration space, invalidate its definitions.
 			ev.killDefs(x)
@@ -645,11 +706,11 @@ func (ev *evaluator) forStmt(x *ir.For) {
 		return
 	}
 	// Unknown trip count (or already uncertain execution).
-	if !bodyComm && !ev.defsStructural(x.Body, x.Var) {
+	if !lf.comm && !lf.structural {
 		ev.killDefs(x)
 		return
 	}
-	if bodyComm && ev.mayDepth == 0 {
+	if lf.comm && ev.mayDepth == 0 {
 		ev.note("loop %s has an unknown trip count but communicates; approximating one iteration",
 			ir.StmtHead(x))
 	}
@@ -686,41 +747,16 @@ func (ev *evaluator) ifStmt(x *ir.If) {
 	ev.killDefs(x)
 }
 
-// defsStructural reports whether the body (or the induction variable)
-// defines any structure-relevant variable.
-func (ev *evaluator) defsStructural(body []ir.Stmt, loopVar string) bool {
-	if ev.structural[loopVar] {
-		return true
-	}
-	found := false
-	ir.Walk(body, func(s ir.Stmt) bool {
-		for d := range ir.StmtDefUse(s).Defs {
-			if ev.structural[d] {
-				found = true
-				return false
-			}
-		}
-		return !found
-	})
-	return found
-}
-
 // killDefs invalidates every variable the statement (including nested
 // bodies) defines.
 func (ev *evaluator) killDefs(s ir.Stmt) {
-	kill := func(name string) {
-		if ev.ctx.Program.Array(name) != nil {
-			ev.killArray(name)
+	for _, n := range ev.facts.kills[s] {
+		if _, isArray := ev.arrays[n]; isArray {
+			ev.killArray(n)
 		} else {
-			ev.env[name] = val{}
+			ev.env[n] = val{}
 		}
 	}
-	ir.Walk([]ir.Stmt{s}, func(st ir.Stmt) bool {
-		for d := range ir.StmtDefUse(st).Defs {
-			kill(d)
-		}
-		return true
-	})
 }
 
 // sortedNames is a small shared helper for deterministic output.

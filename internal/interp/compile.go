@@ -114,6 +114,18 @@ func (cp *compiled) section(sec []ir.Range) func(*frame) [][2]int {
 	}
 }
 
+// stackRank is the array rank up to which element accesses evaluate
+// their index vector in a stack buffer; higher ranks allocate one.
+const stackRank = 8
+
+// indexBuf returns an n-element index vector backed by buf when it fits.
+func indexBuf(buf []int, n int) []int {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]int, n)
+}
+
 func sectionBytes(bounds [][2]int) int64 {
 	return int64(sectionElems(bounds)) * 8
 }
@@ -140,7 +152,8 @@ func (cp *compiled) stmt(s ir.Stmt) stmtFn {
 		return func(f *frame) {
 			f.ops += cost
 			a := f.arrays[ai]
-			idx := make([]int, nd)
+			var buf [stackRank]int
+			idx := indexBuf(buf[:], nd)
 			for i := range idxFns {
 				idx[i] = int(math.Round(idxFns[i](f)))
 			}
@@ -386,7 +399,8 @@ func (cp *compiled) expr(e ir.Expr) exprFn {
 			nd := len(idxFns)
 			return func(f *frame) float64 {
 				a := f.arrays[ai]
-				idx := make([]int, nd)
+				var buf [stackRank]int
+				idx := indexBuf(buf[:], nd)
 				for i := range idxFns {
 					idx[i] = int(math.Round(idxFns[i](f)))
 				}

@@ -418,3 +418,73 @@ func TestFigure1EndToEnd(t *testing.T) {
 		t.Fatalf("parallel engine time %v != sequential %v", rep2.Time, rep.Time)
 	}
 }
+
+// elementLoopFrame compiles "do k, j, i: A(i,j,k...) = B(i,j,k...) +
+// i + 10j + 100k" over rank-nd arrays of extent n in the first three
+// dimensions and 1 beyond, and returns the compiled body with a frame
+// holding the arrays.
+func elementLoopFrame(t *testing.T, nd, n int) ([]stmtFn, *frame) {
+	t.Helper()
+	idx := []ir.Expr{ir.S("i"), ir.S("j"), ir.S("k")}
+	dims := []ir.Expr{ir.N(float64(n)), ir.N(float64(n)), ir.N(float64(n))}
+	for d := 3; d < nd; d++ {
+		idx = append(idx, ir.N(1))
+		dims = append(dims, ir.N(1))
+	}
+	rhs := ir.AddN(ir.At("B", idx...), ir.S("i"), ir.Mul(ir.N(10), ir.S("j")), ir.Mul(ir.N(100), ir.S("k")))
+	hi := ir.N(float64(n))
+	p := &ir.Program{
+		Name: "elements",
+		Arrays: []*ir.ArrayDecl{
+			{Name: "A", Dims: dims, Elem: 8},
+			{Name: "B", Dims: dims, Elem: 8},
+		},
+		Body: ir.Block(ir.Loop("", "k", ir.N(1), hi, ir.Loop("", "j", ir.N(1), hi,
+			ir.Loop("", "i", ir.N(1), hi, ir.SetA("A", idx, rhs))))),
+	}
+	cp, err := compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := []int{n, n, n}
+	for len(shape) < nd {
+		shape = append(shape, 1)
+	}
+	f := &frame{cp: cp, scalars: make([]float64, cp.numScalars)}
+	for _, name := range []string{"A", "B"} {
+		f.arrays = append(f.arrays, &arrayVal{name: name, data: make([]float64, n*n*n), dims: shape})
+	}
+	return cp.body, f
+}
+
+// Element reads and stores of arrays up to rank 8 evaluate their index
+// vector on the stack: a 3-D read/write loop allocates nothing per
+// element. Higher ranks take the heap path and compute the same offsets.
+func TestElementAccessAllocs(t *testing.T) {
+	const n = 6
+	for _, nd := range []int{3, 9} {
+		body, f := elementLoopFrame(t, nd, n)
+		allocs := testing.AllocsPerRun(3, func() {
+			for _, st := range body {
+				st(f)
+			}
+		})
+		if nd <= stackRank && allocs != 0 {
+			t.Errorf("rank %d: %.0f allocs per %d-element loop, want 0", nd, allocs, n*n*n)
+		}
+		a := f.arrays[0]
+		for k := 1; k <= n; k++ {
+			for j := 1; j <= n; j++ {
+				for i := 1; i <= n; i++ {
+					pos := []int{i, j, k}
+					for len(pos) < nd {
+						pos = append(pos, 1)
+					}
+					if got, want := a.data[a.linear(pos)], float64(i+10*j+100*k); got != want {
+						t.Fatalf("rank %d: A(%d,%d,%d) = %v, want %v", nd, i, j, k, got, want)
+					}
+				}
+			}
+		}
+	}
+}

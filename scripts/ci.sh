@@ -10,7 +10,9 @@
 #      (contsafe, detpure, slabref, msgown) — unit + golden corpus
 #      tests for the analyzers, then the suite over ./... with zero
 #      non-suppressed diagnostics required and a per-rule count summary
-#   6. mpicheck over every registered app and every examples/programs/*.ir
+#   6. mpicheck over every registered app and every examples/programs/*.ir,
+#      a 2048-rank Sweep3D check, and the checker's output goldens and
+#      allocation ceiling
 #   7. golden trace-export tests (Chrome trace_event + JSONL formats)
 #   8. observability overhead gate: the kernel with a disabled metrics
 #      registry attached must stay within 5% of the bare kernel
@@ -116,6 +118,10 @@ echo "simvet: 0 non-suppressed diagnostics ($("$bin/simvet" -listrules | awk '/^
 echo "== mpicheck: registered applications"
 go build -o "$bin/mpicheck" ./cmd/mpicheck
 "$bin/mpicheck" -all -min warning
+# Scale smoke: the per-rank evaluation stays cheap at thousands of ranks,
+# and the checker's output and allocations stay pinned.
+"$bin/mpicheck" -app sweep3d -ranks 2048 -min warning
+go test -count=1 -run 'TestCheckGolden|TestCheckAllocsScaleWithRanks' ./internal/check/
 
 echo "== mpicheck: example programs"
 for f in examples/programs/*.ir; do
